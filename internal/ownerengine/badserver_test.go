@@ -34,7 +34,7 @@ func (s *shapeShifter) Call(_ context.Context, addr string, req any) (any, error
 	case protocol.CountRequest:
 		return protocol.CountReply{Out: make([]uint64, s.b/2)}, nil
 	case protocol.AggRequest:
-		return protocol.AggReply{Sums: map[string][]uint64{"v": make([]uint64, 1)}}, nil
+		return protocol.AggReply{Sums: map[string]protocol.U64s{"v": make([]uint64, 1)}}, nil
 	case protocol.ExtremeFetchRequest:
 		return protocol.ExtremeFetchReply{Ready: true, ValueShares: [][]byte{{1}}}, nil
 	case protocol.ClaimFetchRequest:

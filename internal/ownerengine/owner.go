@@ -304,12 +304,12 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 				req.ChiBarAdd = barShares[phi][lo:hi]
 			}
 		}
-		req.SumCols = make(map[string][]uint64, len(sumShares))
+		req.SumCols = make(map[string]protocol.U64s, len(sumShares))
 		for col, sh := range sumShares {
 			req.SumCols[col] = sh[phi][lo:hi]
 		}
 		if spec.Verify {
-			req.VSumCols = make(map[string][]uint64, len(vsumShares))
+			req.VSumCols = make(map[string]protocol.U64s, len(vsumShares))
 			for col, sh := range vsumShares {
 				req.VSumCols[col] = sh[phi][lo:hi]
 			}

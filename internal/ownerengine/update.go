@@ -333,7 +333,7 @@ func (o *engine) Update(ctx context.Context, table string, add, remove *Data) (U
 		if phi < 2 {
 			req.Chi = chiShares[phi][i1:j1]
 		}
-		req.Sums = make(map[string][]uint64, len(sumShares))
+		req.Sums = make(map[string]protocol.U64s, len(sumShares))
 		for col, sh := range sumShares {
 			req.Sums[col] = sh[phi][i1:j1]
 		}
@@ -346,7 +346,7 @@ func (o *engine) Update(ctx context.Context, table string, add, remove *Data) (U
 			if phi < 2 {
 				req.ChiBar = barShares[phi][i2:j2]
 			}
-			req.VSums = make(map[string][]uint64, len(vsumShares))
+			req.VSums = make(map[string]protocol.U64s, len(vsumShares))
 			for col, sh := range vsumShares {
 				req.VSums[col] = sh[phi][i2:j2]
 			}

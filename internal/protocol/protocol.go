@@ -125,12 +125,12 @@ type StoreRequest struct {
 	// back to plain last-attempt-supersedes. Empty for monolithic
 	// stores.
 	UploadID  string
-	ChiAdd    []uint16            // additive share of χ (servers 0,1)
-	ChiBarAdd []uint16            // additive share of χ̄ (servers 0,1; verify only)
-	SumCols   map[string][]uint64 // Shamir share (this server's point) per agg column
-	VSumCols  map[string][]uint64 // verification copies in χ̄ order
-	CountCol  []uint64            // Shamir share of per-cell tuple counts (aOK)
-	VCountCol []uint64
+	ChiAdd    U16s            // additive share of χ (servers 0,1)
+	ChiBarAdd U16s            // additive share of χ̄ (servers 0,1; verify only)
+	SumCols   map[string]U64s // Shamir share (this server's point) per agg column
+	VSumCols  map[string]U64s // verification copies in χ̄ order
+	CountCol  U64s            // Shamir share of per-cell tuple counts (aOK)
+	VCountCol U64s
 }
 
 // StoreReply acknowledges the upload. Cells is the number of cells the
@@ -161,15 +161,15 @@ type StoreDeltaRequest struct {
 	Table string
 	Shard Range // zero → positions may span the whole domain
 
-	Pos  []uint64            // stored (χ-order) positions, ascending
-	Chi  []uint16            // additive χ share per Pos (servers 0,1)
-	Sums map[string][]uint64 // Shamir sum share per agg column, parallel to Pos
-	Cnt  []uint64            // Shamir count share per Pos (when the table has counts)
+	Pos  U64s            // stored (χ-order) positions, ascending
+	Chi  U16s            // additive χ share per Pos (servers 0,1)
+	Sums map[string]U64s // Shamir sum share per agg column, parallel to Pos
+	Cnt  U64s            // Shamir count share per Pos (when the table has counts)
 
-	VPos   []uint64            // χ̄-order positions, ascending (verify only)
-	ChiBar []uint16            // additive χ̄ share per VPos (servers 0,1)
-	VSums  map[string][]uint64 // verification sum shares, parallel to VPos
-	VCnt   []uint64            // verification count shares per VPos
+	VPos   U64s            // χ̄-order positions, ascending (verify only)
+	ChiBar U16s            // additive χ̄ share per VPos (servers 0,1)
+	VSums  map[string]U64s // verification sum shares, parallel to VPos
+	VCnt   U64s            // verification count shares per VPos
 }
 
 // StoreDeltaReply acknowledges one applied delta window. Entries is
@@ -204,7 +204,7 @@ type PSIRequest struct {
 
 // PSIReply carries out_i = g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η'.
 type PSIReply struct {
-	Out   []uint64
+	Out   U64s
 	Stats Stats
 }
 
@@ -221,7 +221,7 @@ type PSIVerifyRequest struct {
 
 // PSIVerifyReply carries Vout_i = g^(Σ_j A(x̄_i)_j mod δ) mod η'.
 type PSIVerifyReply struct {
-	Vout  []uint64
+	Vout  U64s
 	Stats Stats
 }
 
@@ -243,8 +243,8 @@ type CountRequest struct {
 
 // CountReply carries the permuted output (and verification) vectors.
 type CountReply struct {
-	Out   []uint64
-	Vout  []uint64 // nil unless Verify
+	Out   U64s
+	Vout  U64s // nil unless Verify
 	Stats Stats
 }
 
@@ -267,7 +267,7 @@ type PSURequest struct {
 
 // PSUReply carries out_i = ((Σ_j A(x_i)_j) · rand_i) mod δ.
 type PSUReply struct {
-	Out   []uint16
+	Out   U16s
 	Stats Stats
 }
 
@@ -285,17 +285,17 @@ type AggRequest struct {
 	Group     int    // target server group
 	Shard     Range  // zero → whole-domain selector in one frame
 	Cols      []string
-	WithCount bool     // also aggregate the count column (average queries)
-	Z         []uint64 // this server's share of z, χ (PF_db1) order
-	VZ        []uint64 // selector share in χ̄ (PF_db2) order; nil → no verification
+	WithCount bool // also aggregate the count column (average queries)
+	Z         U64s // this server's share of z, χ (PF_db1) order
+	VZ        U64s // selector share in χ̄ (PF_db2) order; nil → no verification
 }
 
 // AggReply carries degree-2 share vectors per requested column.
 type AggReply struct {
-	Sums    map[string][]uint64
-	Counts  []uint64
-	VSums   map[string][]uint64
-	VCounts []uint64
+	Sums    map[string]U64s
+	Counts  U64s
+	VSums   map[string]U64s
+	VCounts U64s
 	Stats   Stats
 }
 
@@ -399,7 +399,7 @@ type ClaimFetchRequest struct{ QueryID string }
 // ClaimFetchReply carries fpos^φ (§6.3 Step 6).
 type ClaimFetchReply struct {
 	Ready bool
-	Fpos  []uint16
+	Fpos  U16s
 }
 
 // ---- serving-state probe ----

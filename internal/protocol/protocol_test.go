@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 )
 
@@ -29,31 +30,38 @@ func TestExtremeKindString(t *testing.T) {
 }
 
 // TestEveryMessageGobRoundTrips feeds a populated instance of every
-// message type through the envelope used by both transports.
+// message type through the envelope used by both transports and
+// requires the decoded value to be identical. Every packed vector field
+// carries a value above 255, so none rides on the 1-byte width alone.
 func TestEveryMessageGobRoundTrips(t *testing.T) {
 	type env struct{ P any }
 	gob.Register(env{})
+	const w2, w4, w8 = 300, 70000, 1 << 40 // force 2-, 4- and 8-byte widths
 	msgs := []any{
 		TableSpec{Name: "t", B: 9, AggCols: []string{"a"}, HasVerify: true, HasCount: true, Plain: true},
-		StoreRequest{Owner: 2, Spec: TableSpec{Name: "x", B: 1},
-			ChiAdd: []uint16{1}, ChiBarAdd: []uint16{0},
-			SumCols:  map[string][]uint64{"c": {4}},
-			VSumCols: map[string][]uint64{"c": {5}},
-			CountCol: []uint64{6}, VCountCol: []uint64{7}},
+		StoreRequest{Owner: 2, Spec: TableSpec{Name: "x", B: 2},
+			ChiAdd: U16s{1, w2}, ChiBarAdd: U16s{65535, 0},
+			SumCols:  map[string]U64s{"c": {4, w8}},
+			VSumCols: map[string]U64s{"c": {w4, 5}},
+			CountCol: U64s{6, w2}, VCountCol: U64s{w8, 7}},
 		StoreReply{Cells: 3},
+		StoreDeltaRequest{Owner: 1, Group: 1, Table: "t", Shard: Range{Offset: 256, Count: 512},
+			Pos: U64s{300, 301}, Chi: U16s{w2, 1}, Sums: map[string]U64s{"c": {w8, 2}}, Cnt: U64s{w4, 0},
+			VPos: U64s{400, 700}, ChiBar: U16s{2, w2}, VSums: map[string]U64s{"c": {1, w8}}, VCnt: U64s{0, w4}},
+		StoreDeltaReply{Entries: 4, Epoch: 2},
 		DropRequest{Table: "t"}, DropReply{},
 		PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{3}},
-		PSIReply{Out: []uint64{1, 2}, Stats: Stats{Cells: 2, FetchNS: 1}},
+		PSIReply{Out: U64s{1, w2}, Stats: Stats{Cells: 2, FetchNS: 1}},
 		PSIVerifyRequest{Table: "t", QueryID: "q"},
-		PSIVerifyReply{Vout: []uint64{9}},
+		PSIVerifyReply{Vout: U64s{w4}},
 		CountRequest{Table: "t", Verify: true},
-		CountReply{Out: []uint64{1}, Vout: []uint64{2}},
+		CountReply{Out: U64s{w2}, Vout: U64s{w8}},
 		PSURequest{Table: "t", QueryID: "n", Permute: true},
-		PSUReply{Out: []uint16{4}},
+		PSUReply{Out: U16s{4, w2}},
 		AggRequest{Table: "t", Cols: []string{"a"}, WithCount: true,
-			Z: []uint64{1}, VZ: []uint64{2}},
-		AggReply{Sums: map[string][]uint64{"a": {7}}, Counts: []uint64{1},
-			VSums: map[string][]uint64{"a": {7}}, VCounts: []uint64{1}},
+			Z: U64s{1, w8}, VZ: U64s{w4, 2}},
+		AggReply{Sums: map[string]U64s{"a": {w8}}, Counts: U64s{w2},
+			VSums: map[string]U64s{"a": {w4}}, VCounts: U64s{1, w8}},
 		ExtremeSubmitRequest{QueryID: "q", Kind: KindMedian, Owner: 1, VShare: []byte{1, 2}},
 		ExtremeSubmitReply{Forwarded: true},
 		ExtremeFetchRequest{QueryID: "q"},
@@ -65,7 +73,7 @@ func TestEveryMessageGobRoundTrips(t *testing.T) {
 		ClaimSubmitRequest{QueryID: "q", Owner: 0, Share: 5},
 		ClaimSubmitReply{},
 		ClaimFetchRequest{QueryID: "q"},
-		ClaimFetchReply{Ready: true, Fpos: []uint16{0, 1}},
+		ClaimFetchReply{Ready: true, Fpos: U16s{0, w2}},
 	}
 	for _, m := range msgs {
 		var buf bytes.Buffer
@@ -75,6 +83,9 @@ func TestEveryMessageGobRoundTrips(t *testing.T) {
 		var out env
 		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
+		}
+		if !reflect.DeepEqual(out.P, m) {
+			t.Errorf("%T: round trip changed value:\n got %#v\nwant %#v", m, out.P, m)
 		}
 	}
 }

@@ -712,13 +712,13 @@ func cloneOwnerCols(src *ownerCols) *ownerCols {
 		vcnt:   append([]uint64(nil), src.vcnt...),
 	}
 	if src.sums != nil {
-		oc.sums = make(map[string][]uint64, len(src.sums))
+		oc.sums = make(map[string]protocol.U64s, len(src.sums))
 		for c, v := range src.sums {
 			oc.sums[c] = append([]uint64(nil), v...)
 		}
 	}
 	if src.vsums != nil {
-		oc.vsums = make(map[string][]uint64, len(src.vsums))
+		oc.vsums = make(map[string]protocol.U64s, len(src.vsums))
 		for c, v := range src.vsums {
 			oc.vsums[c] = append([]uint64(nil), v...)
 		}

@@ -227,8 +227,8 @@ type tableView struct {
 type ownerCols struct {
 	chi    []uint16
 	chibar []uint16
-	sums   map[string][]uint64
-	vsums  map[string][]uint64
+	sums   map[string]protocol.U64s
+	vsums  map[string]protocol.U64s
 	cnt    []uint64
 	vcnt   []uint64
 	onDisk bool
@@ -954,9 +954,9 @@ func (e *Engine) newPendingCols(spec protocol.TableSpec) *ownerCols {
 		}
 	}
 	if len(spec.AggCols) > 0 {
-		oc.sums = make(map[string][]uint64, len(spec.AggCols))
+		oc.sums = make(map[string]protocol.U64s, len(spec.AggCols))
 		if spec.HasVerify {
-			oc.vsums = make(map[string][]uint64, len(spec.AggCols))
+			oc.vsums = make(map[string]protocol.U64s, len(spec.AggCols))
 		}
 		for _, col := range spec.AggCols {
 			oc.sums[col] = make([]uint64, b)
@@ -1980,9 +1980,9 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 		}
 	}
 	var stats protocol.Stats
-	reply := protocol.AggReply{Sums: make(map[string][]uint64)}
+	reply := protocol.AggReply{Sums: make(map[string]protocol.U64s)}
 	if verify {
-		reply.VSums = make(map[string][]uint64)
+		reply.VSums = make(map[string]protocol.U64s)
 	}
 
 	for _, col := range r.Cols {

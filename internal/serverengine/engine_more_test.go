@@ -65,11 +65,11 @@ func storeFull(t *testing.T, engines []*Engine, b uint64, verify bool) ([][]uint
 		for phi, e := range engines {
 			req := protocol.StoreRequest{
 				Owner: owner, Spec: spec,
-				SumCols:  map[string][]uint64{"v": sumShares[phi]},
+				SumCols:  map[string]protocol.U64s{"v": sumShares[phi]},
 				CountCol: cntShares[phi],
 			}
 			if verify {
-				req.VSumCols = map[string][]uint64{"v": sumShares[phi]}
+				req.VSumCols = map[string]protocol.U64s{"v": sumShares[phi]}
 				req.VCountCol = cntShares[phi]
 			}
 			if phi < 2 {

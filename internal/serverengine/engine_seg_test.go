@@ -73,11 +73,11 @@ func storeSharded(t *testing.T, engines []*Engine, b, shard uint64, verify bool)
 					Owner: owner, Spec: spec,
 					Shard:    protocol.Range{Offset: off, Count: n},
 					UploadID: uploadID,
-					SumCols:  map[string][]uint64{"v": sumShares[phi][lo:hi]},
+					SumCols:  map[string]protocol.U64s{"v": sumShares[phi][lo:hi]},
 					CountCol: cntShares[phi][lo:hi],
 				}
 				if verify {
-					req.VSumCols = map[string][]uint64{"v": sumShares[phi][lo:hi]}
+					req.VSumCols = map[string]protocol.U64s{"v": sumShares[phi][lo:hi]}
 					req.VCountCol = cntShares[phi][lo:hi]
 				}
 				if phi < 2 {

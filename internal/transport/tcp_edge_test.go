@@ -136,8 +136,9 @@ func TestTCPClientOversizedRequest(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 	c := NewTCPClient(map[string]string{"s": addr})
 	defer c.Close()
-	// Gob varint-packs small values, so force ~9 wire bytes per element.
-	out := make([]uint64, MaxFrameBytes/9+1)
+	// All-ones elements pack at the full 8-byte width, so one element
+	// past MaxFrameBytes/8 pushes the frame over the cap.
+	out := make(protocol.U64s, MaxFrameBytes/8+1)
 	for i := range out {
 		out[i] = ^uint64(0)
 	}

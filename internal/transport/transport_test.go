@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -48,27 +49,43 @@ func TestNetworkErrorPropagation(t *testing.T) {
 	}
 }
 
+// wireSamples returns populated protocol messages covering every packed
+// vector field. Each vector holds a value above 255, so none is encoded
+// at the 1-byte width alone.
+func wireSamples() []any {
+	const w2, w4, w8 = 300, 70000, 1 << 40 // force 2-, 4- and 8-byte widths
+	return []any{
+		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{1, 2}},
+		protocol.PSIReply{Out: protocol.U64s{3, w2}, Stats: protocol.Stats{Cells: 2}},
+		protocol.PSIVerifyReply{Vout: protocol.U64s{w4, 1}},
+		protocol.CountReply{Out: protocol.U64s{w2}, Vout: protocol.U64s{w8}},
+		protocol.PSUReply{Out: protocol.U16s{1, w2}},
+		protocol.StoreRequest{Owner: 1, Spec: protocol.TableSpec{Name: "x", B: 4},
+			ChiAdd: protocol.U16s{1, 2, 3, w2}, ChiBarAdd: protocol.U16s{w2, 0, 0, 1},
+			SumCols: map[string]protocol.U64s{"pk": {9, w8, 0, 1}}, VSumCols: map[string]protocol.U64s{"pk": {w4, 0, 0, 0}},
+			CountCol: protocol.U64s{w2, 0, 0, 0}, VCountCol: protocol.U64s{0, 0, 0, w8}},
+		protocol.StoreDeltaRequest{Owner: 1, Table: "x",
+			Pos: protocol.U64s{w2}, Chi: protocol.U16s{w2}, Sums: map[string]protocol.U64s{"pk": {w8}}, Cnt: protocol.U64s{w4},
+			VPos: protocol.U64s{w4}, ChiBar: protocol.U16s{w2}, VSums: map[string]protocol.U64s{"pk": {w8}}, VCnt: protocol.U64s{w2}},
+		protocol.AggRequest{Table: "t", Cols: []string{"a"}, Z: protocol.U64s{5, w8}, VZ: protocol.U64s{w4}},
+		protocol.AggReply{Sums: map[string]protocol.U64s{"a": {w8}}, Counts: protocol.U64s{w2},
+			VSums: map[string]protocol.U64s{"a": {w4}}, VCounts: protocol.U64s{w8}},
+		protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMedian, VShare: []byte{9, 8}},
+		protocol.ClaimFetchReply{Ready: true, Fpos: protocol.U16s{0, w2}},
+	}
+}
+
 func TestNetworkEncodeWire(t *testing.T) {
-	// Every protocol message must survive the gob round trip.
+	// Every protocol message must survive the gob round trip unchanged.
 	n := NewNetwork()
 	n.EncodeWire = true
 	n.Register("s", echoHandler{})
-	msgs := []any{
-		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{1, 2}},
-		protocol.PSIReply{Out: []uint64{3, 4}, Stats: protocol.Stats{Cells: 2}},
-		protocol.PSUReply{Out: []uint16{1}},
-		protocol.StoreRequest{Owner: 1, Spec: protocol.TableSpec{Name: "x", B: 4},
-			ChiAdd: []uint16{1, 2, 3, 4}, SumCols: map[string][]uint64{"pk": {9}}},
-		protocol.AggRequest{Table: "t", Cols: []string{"a"}, Z: []uint64{5}},
-		protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMedian, VShare: []byte{9, 8}},
-		protocol.ClaimFetchReply{Ready: true, Fpos: []uint16{0, 1}},
-	}
-	for _, m := range msgs {
+	for _, m := range wireSamples() {
 		got, err := n.Call(context.Background(), "s", m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", m) {
+		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("%T: round trip changed value:\n  in  %+v\n  out %+v", m, m, got)
 		}
 	}
