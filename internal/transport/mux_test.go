@@ -237,8 +237,9 @@ func TestMuxConnDropFailsAllPending(t *testing.T) {
 			return
 		}
 		connCh <- conn
+		var dec streamDecoder
 		for {
-			if _, err := readFrame(conn); err != nil {
+			if _, err := dec.readFrame(conn); err != nil {
 				return
 			}
 			got <- struct{}{}

@@ -1,13 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -15,10 +11,12 @@ import (
 	"time"
 )
 
-// MaxFrameBytes is the default cap on one wire frame (4-byte big-endian
-// length prefix + gob-encoded envelope). A peer announcing a larger
-// frame is cut off before any payload is read, so a corrupt or hostile
-// peer cannot force an arbitrary allocation. 256 MiB holds the largest
+// MaxFrameBytes is the default cap on one wire frame body (the gob
+// messages after the 4-byte header; see stream.go). A peer announcing a
+// larger frame is cut off before any payload is read, and a smaller
+// announcement is read into a buffer that grows only as bytes arrive,
+// so a corrupt or hostile peer cannot force an allocation much larger
+// than what it actually sent. 256 MiB holds the largest
 // legal monolithic message at the paper's scales (a 20M-cell Shamir
 // column is 160 MB); domains beyond that must shard their exchanges
 // (ownerengine.SetShardCells / prism.Config.ShardCells) — sharding
@@ -63,61 +61,6 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // TCPClient.Close.
 var errClientClosed = errors.New("transport: client closed")
 
-// encodeFrame gob-encodes env into one self-contained length-prefixed
-// frame, so that readers can decode frames independently of connection
-// history. Encoding is the CPU-heavy half of a send; callers on a
-// shared connection encode first and take the write lock only for the
-// byte copy, so a large frame never blocks other senders' cheap ones.
-func encodeFrame(env *envelope) ([]byte, error) {
-	start := time.Now()
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4)) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, err
-	}
-	n := buf.Len() - 4
-	if int64(n) > FrameLimit() {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	observeFrame(env.Payload, int64(n), time.Since(start))
-	return b, nil
-}
-
-// writeFrame encodes env and writes it as one frame. The size check
-// runs before any byte hits the wire, so an oversized envelope leaves
-// the stream untouched.
-func writeFrame(w io.Writer, env *envelope) error {
-	b, err := encodeFrame(env)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// readFrame reads one length-prefixed frame and decodes the envelope.
-func readFrame(r io.Reader) (*envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > FrameLimit() {
-		return nil, fmt.Errorf("%w (%d bytes announced)", ErrFrameTooLarge, n)
-	}
-	body := make([]byte, n)
-	if m, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("transport: truncated frame (%d of %d bytes): %w", m, n, err)
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("transport: corrupt frame: %w", err)
-	}
-	return &env, nil
-}
-
 // ---- server ----
 
 type serveOptions struct {
@@ -153,9 +96,10 @@ func WithLogf(f func(format string, args ...any)) ServeOption {
 
 // Serve accepts connections on ln and serves requests with h until the
 // context is cancelled or the listener is closed. Each connection
-// carries a multiplexed stream of length-prefixed gob frames: requests
-// are dispatched to a bounded worker pool as they decode, so replies may
-// return out of order (each echoes its request id).
+// carries a multiplexed stream of length-prefixed frames, one gob
+// stream per direction: requests are dispatched to a bounded worker
+// pool as they decode, so replies may return out of order (each echoes
+// its request id).
 func Serve(ctx context.Context, ln net.Listener, h Handler, opts ...ServeOption) error {
 	o := serveOptions{workers: DefaultPerConnInflight, logf: func(string, ...any) {}}
 	for _, fn := range opts {
@@ -189,20 +133,39 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 	unblock := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
 	defer unblock()
 
-	var wmu sync.Mutex // one reply frame at a time
+	var (
+		wmu sync.Mutex // one reply frame at a time; guards enc
+		enc streamEncoder
+		dec streamDecoder
+	)
+	// send encodes and writes one reply frame under wmu, so frames reach
+	// the wire in stream order. An oversized or unencodable reply is
+	// downgraded to an error envelope the caller can observe instead of
+	// a dead stream; nothing of the failed frame touched the wire.
+	send := func(env *envelope) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		frame, err := enc.encode(env)
+		if err != nil {
+			frame, err = enc.encode(&envelope{ID: env.ID, Err: err.Error()})
+			if err != nil {
+				return fmt.Errorf("encoding error reply: %w", err)
+			}
+		}
+		_, err = conn.Write(frame)
+		return err
+	}
 	sem := make(chan struct{}, o.workers)
 	for {
-		req, err := readFrame(conn)
+		req, err := dec.readFrame(conn)
 		if err != nil {
 			// Oversized announcements get an explicit error frame so the
 			// peer learns why; then the connection is dropped (the stream
-			// position is unrecoverable). Everything else (EOF, truncation)
-			// just drops the per-client connection.
+			// position is unrecoverable). Everything else (EOF, truncation,
+			// a corrupt or out-of-stream frame) just drops the per-client
+			// connection.
 			if errors.Is(err, ErrFrameTooLarge) {
-				wmu.Lock()
-				werr := writeFrame(conn, &envelope{Err: err.Error()})
-				wmu.Unlock()
-				if werr != nil {
+				if werr := send(&envelope{Err: err.Error()}); werr != nil {
 					o.logf("transport: serve %s: notifying oversized frame: %v", conn.RemoteAddr(), werr)
 				}
 			}
@@ -219,23 +182,8 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 		go func(req *envelope) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out := dispatch(ctx, h, req, o.logf)
-			frame, eerr := encodeFrame(out)
-			if eerr != nil {
-				// Nothing touched the wire; downgrade an oversized or
-				// unencodable reply to an error envelope the caller can
-				// observe instead of a dead stream.
-				frame, eerr = encodeFrame(&envelope{ID: req.ID, Err: eerr.Error()})
-				if eerr != nil {
-					o.logf("transport: serve %s: encoding error reply %d: %v", conn.RemoteAddr(), req.ID, eerr)
-					return
-				}
-			}
-			wmu.Lock()
-			_, werr := conn.Write(frame)
-			wmu.Unlock()
-			if werr != nil {
-				o.logf("transport: serve %s: writing reply %d: %v", conn.RemoteAddr(), req.ID, werr)
+			if err := send(dispatch(ctx, h, req, o.logf)); err != nil {
+				o.logf("transport: serve %s: reply %d: %v", conn.RemoteAddr(), req.ID, err)
 			}
 		}(req)
 	}
@@ -283,14 +231,17 @@ type TCPClient struct {
 	closed bool
 }
 
-// tcpConn is one multiplexed connection. Frame writes serialise on wtok
-// (a channel, so queued writers can abandon the wait when their context
-// dies); a single reader goroutine routes reply envelopes to the pending
-// call registered under their id.
+// tcpConn is one multiplexed connection. Frame encodes and writes
+// serialise on wtok (a channel, so queued writers can abandon the wait
+// when their context dies); a single reader goroutine decodes the
+// reply stream and routes each envelope to the pending call registered
+// under its id.
 type tcpConn struct {
 	conn net.Conn
 	sem  chan struct{} // bounds RPCs in flight (cap PerConnInflight)
-	wtok chan struct{} // write token (cap 1): one frame at a time
+	wtok chan struct{} // write token (cap 1): one frame at a time; guards enc
+	enc  streamEncoder
+	dec  streamDecoder // owned by readLoop
 
 	mu       sync.Mutex
 	nextID   uint64
@@ -378,16 +329,9 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 		tc.mu.Unlock()
 	}
 
-	// Encode outside the write token so a large request never blocks
-	// other callers' sends. An unencodable or oversized request is
-	// rejected here, before any byte touches the shared stream.
-	frame, err := encodeFrame(&envelope{ID: id, Payload: req})
-	if err != nil {
-		unregister()
-		return nil, fmt.Errorf("transport: send to %q: %w", addr, err)
-	}
-
-	// Write the request frame, holding the write token.
+	// Encode and write the request frame holding the write token: frames
+	// share the connection's gob stream, so they must reach the wire in
+	// the order they were encoded.
 	select {
 	case tc.wtok <- struct{}{}:
 	case <-ctx.Done():
@@ -396,6 +340,22 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	case <-tc.done:
 		unregister()
 		return nil, fmt.Errorf("transport: send to %q: %w", addr, tc.closeErr)
+	}
+	// An unencodable or oversized request is rejected here, before any
+	// byte touches the wire; the encoder restarts its stream on the next
+	// frame. So does a frame abandoned because the call was cancelled
+	// while it encoded.
+	frame, err := tc.enc.encode(&envelope{ID: id, Payload: req})
+	if err != nil {
+		<-tc.wtok
+		unregister()
+		return nil, fmt.Errorf("transport: send to %q: %w", addr, err)
+	}
+	if err := ctx.Err(); err != nil {
+		tc.enc.restart()
+		<-tc.wtok
+		unregister()
+		return nil, err
 	}
 	// A cancellation landing mid-write forces an immediate write
 	// deadline; if it actually interrupted the frame (write error), the
@@ -547,7 +507,7 @@ func (c *TCPClient) dial(ctx context.Context, addr, target string) (*tcpConn, er
 // and with it every call still in flight.
 func (c *TCPClient) readLoop(addr string, tc *tcpConn) {
 	for {
-		env, err := readFrame(tc.conn)
+		env, err := tc.dec.readFrame(tc.conn)
 		if err != nil {
 			c.fail(addr, tc, err)
 			return

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,26 +26,58 @@ func (h blockingHandler) Handle(ctx context.Context, req any) (any, error) {
 	return nil, ctx.Err()
 }
 
+// rawConn is a hand-driven client connection: tests write crafted
+// frames with enc or by hand and read the server's reply stream with
+// dec.
+type rawConn struct {
+	net.Conn
+	enc streamEncoder
+	dec streamDecoder
+}
+
+// dialRaw opens a rawConn to addr, closed when the test ends.
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	return &rawConn{Conn: conn}
+}
+
+// send encodes env on the connection's stream and writes its frame.
+func (c *rawConn) send(t *testing.T, env *envelope) {
+	t.Helper()
+	frame, err := c.enc.encode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTCPFrameEdgeCases drives the server's frame reader with raw crafted
-// byte streams: a well-formed call, an oversized length announcement, and
-// truncated frames.
+// byte streams: a well-formed call, an oversized length announcement,
+// truncated frames, garbage, a type defined twice in one stream, and
+// bytes left over after an envelope.
 func TestTCPFrameEdgeCases(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 
-	dial := func(t *testing.T) net.Conn {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	// frameOf returns body with a header announcing its length.
+	frameOf := func(restart bool, body []byte) []byte {
+		hdr := uint32(len(body))
+		if restart {
+			hdr |= restartBit
 		}
-		t.Cleanup(func() { conn.Close() })
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		return conn
+		return append(binary.BigEndian.AppendUint32(nil, hdr), body...)
 	}
 
 	cases := []struct {
 		name  string
-		write func(t *testing.T, conn net.Conn)
+		write func(t *testing.T, conn *rawConn)
 		// wantReply: a full reply frame must come back. Otherwise the
 		// server must drop the connection (EOF / reset), optionally after
 		// an error frame naming the cause.
@@ -53,16 +86,14 @@ func TestTCPFrameEdgeCases(t *testing.T) {
 	}{
 		{
 			name: "well-formed frame echoes",
-			write: func(t *testing.T, conn net.Conn) {
-				if err := writeFrame(conn, &envelope{Payload: protocol.PSIRequest{Table: "ok"}}); err != nil {
-					t.Fatal(err)
-				}
+			write: func(t *testing.T, conn *rawConn) {
+				conn.send(t, &envelope{Payload: protocol.PSIRequest{Table: "ok"}})
 			},
 			wantReply: true,
 		},
 		{
 			name: "oversized frame announcement is rejected",
-			write: func(t *testing.T, conn net.Conn) {
+			write: func(t *testing.T, conn *rawConn) {
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], uint32(MaxFrameBytes+1))
 				if _, err := conn.Write(hdr[:]); err != nil {
@@ -73,32 +104,61 @@ func TestTCPFrameEdgeCases(t *testing.T) {
 		},
 		{
 			name: "truncated frame drops the connection",
-			write: func(t *testing.T, conn net.Conn) {
+			write: func(t *testing.T, conn *rawConn) {
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], 1024) // announce 1 KiB…
 				conn.Write(hdr[:])
 				conn.Write([]byte{1, 2, 3}) // …deliver 3 bytes
-				if tc, ok := conn.(*net.TCPConn); ok {
+				if tc, ok := conn.Conn.(*net.TCPConn); ok {
 					tc.CloseWrite()
 				}
 			},
 		},
 		{
 			name: "garbage payload of announced size drops the connection",
-			write: func(t *testing.T, conn net.Conn) {
-				body := []byte("this is not gob data")
-				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-				conn.Write(hdr[:])
-				conn.Write(body)
+			write: func(t *testing.T, conn *rawConn) {
+				conn.Write(frameOf(true, []byte("this is not gob data")))
+			},
+		},
+		{
+			name: "duplicate type definition mid-stream drops the connection",
+			write: func(t *testing.T, conn *rawConn) {
+				// The first frame defines the envelope and payload types
+				// and is answered. Replaying it without the restart bit
+				// defines them a second time in the same stream.
+				first, err := conn.enc.encode(&envelope{ID: 1, Payload: protocol.PSIRequest{Table: "ok"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn.Write(first)
+				if env, err := conn.dec.readFrame(conn); err != nil || env.ID != 1 {
+					t.Fatalf("first frame not answered: %v %#v", err, env)
+				}
+				conn.Write(frameOf(false, first[4:]))
+			},
+		},
+		{
+			name: "bytes left over after an envelope drop the connection",
+			write: func(t *testing.T, conn *rawConn) {
+				// Two envelopes of one stream packed into a single frame.
+				a, err := conn.enc.encode(&envelope{ID: 1, Payload: protocol.PSIRequest{Table: "a"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a = slices.Clone(a)
+				b, err := conn.enc.encode(&envelope{ID: 2, Payload: protocol.PSIRequest{Table: "b"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn.Write(frameOf(true, append(a[4:], b[4:]...)))
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			conn := dial(t)
+			conn := dialRaw(t, addr)
 			tc.write(t, conn)
-			env, err := readFrame(conn)
+			env, err := conn.dec.readFrame(conn)
 			switch {
 			case tc.wantReply:
 				if err != nil {
@@ -115,7 +175,7 @@ func TestTCPFrameEdgeCases(t *testing.T) {
 					t.Fatalf("error frame %q does not mention %q", env.Err, tc.wantErrFrag)
 				}
 				// After the error frame the connection must be closed.
-				if _, err := readFrame(conn); err == nil {
+				if _, err := conn.dec.readFrame(conn); err == nil {
 					t.Fatal("connection still alive after protocol violation")
 				}
 			default:
@@ -167,7 +227,8 @@ func TestTCPClientTruncatedReply(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := readFrame(conn); err != nil {
+		var dec streamDecoder
+		if _, err := dec.readFrame(conn); err != nil {
 			return
 		}
 		var hdr [4]byte

@@ -3,10 +3,21 @@
 // Two implementations share one interface:
 //
 //   - Network: in-process dispatch used by tests, benchmarks and the
-//     library's local mode. Optionally forces a gob round-trip per call so
-//     message encodability is continuously exercised.
-//   - TCP (tcp.go): length-delimited gob frames over net.Conn for real
+//     library's local mode. Optionally (EncodeWire) sends every message
+//     through the wire codec, so encodability and frame costs are
+//     continuously exercised.
+//   - TCP (tcp.go): length-prefixed frames over net.Conn for real
 //     multi-process deployments (cmd/prism-server etc.).
+//
+// Both use one stream codec (stream.go). A connection, not a frame, is
+// the unit of gob state: the frames one side sends form a single gob
+// stream, so each type descriptor crosses the wire once per connection
+// and every later frame carries only its envelope. A frame whose encode
+// fails never reaches the wire and ends the stream; the sender's next
+// frame restarts it, flagged by the top bit of its length prefix, and
+// the receiver then starts a fresh decoder. Each frame holds exactly
+// one envelope; anything else is a protocol violation that drops the
+// connection.
 //
 // The TCP transport is multiplexed: every frame carries a request id, so
 // one persistent connection per peer serves many concurrent RPCs. The
@@ -25,13 +36,10 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Handler processes one request and produces a reply.
@@ -57,14 +65,28 @@ type Network struct {
 	handlers map[string]Handler
 	sems     map[string]chan struct{}
 	inflight int
-	// EncodeWire forces every call through a gob encode/decode cycle,
-	// matching what the TCP transport does on the wire — including the
-	// frame cap: an encoding larger than FrameLimit() fails the call
-	// with ErrFrameTooLarge exactly as the TCP transport would.
+	// EncodeWire sends every request and reply through the TCP
+	// transport's stream codec: an encode into a frame and a decode out
+	// of it. Each call direction borrows an encoder/decoder pair from a
+	// pool, and a pair stands in for one connection, so type
+	// descriptors are sent once per pair and frames cost what they cost
+	// on the wire. The frame cap applies too: an encoding larger than
+	// FrameLimit() fails the call with ErrFrameTooLarge exactly as the
+	// TCP transport would. A pair that fails is dropped, not pooled.
 	EncodeWire bool
 	// peakFrame tracks the largest encoded message observed (EncodeWire
 	// only) so benchmarks can report peak frame size per configuration.
 	peakFrame atomic.Int64
+
+	pairMu sync.Mutex
+	pairs  []*wirePair // idle pairs, reused last-in first-out
+}
+
+// wirePair is one simulated connection direction: frames encoded by enc
+// are decoded by dec, in order, so the two stay in step.
+type wirePair struct {
+	enc streamEncoder
+	dec streamDecoder
 }
 
 // NewNetwork returns an empty in-process network.
@@ -162,30 +184,36 @@ func (n *Network) PeakFrameBytes() int64 { return n.peakFrame.Load() }
 // outsourcing and query phases of a benchmark).
 func (n *Network) ResetPeakFrame() { n.peakFrame.Store(0) }
 
-// roundTrip encodes and decodes v through gob, as the TCP transport
+// roundTrip sends v through a pooled wire pair, as the TCP transport
 // would, enforcing the same frame cap and recording the peak size.
 func (n *Network) roundTrip(v any) (any, error) {
-	start := time.Now()
-	var buf bytes.Buffer
-	env := envelope{Payload: v}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
+	n.pairMu.Lock()
+	var p *wirePair
+	if k := len(n.pairs); k > 0 {
+		p, n.pairs = n.pairs[k-1], n.pairs[:k-1]
+	} else {
+		p = new(wirePair)
+	}
+	n.pairMu.Unlock()
+
+	frame, err := p.enc.encode(&envelope{Payload: v})
+	if err != nil {
 		return nil, err
 	}
-	size := int64(buf.Len())
-	if size > FrameLimit() {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, size)
-	}
-	observeFrame(v, size, time.Since(start))
+	size := int64(len(frame) - 4)
 	for {
 		prev := n.peakFrame.Load()
 		if size <= prev || n.peakFrame.CompareAndSwap(prev, size) {
 			break
 		}
 	}
-	var out envelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+	out, err := p.dec.decodeFrame(frame)
+	if err != nil {
 		return nil, err
 	}
+	n.pairMu.Lock()
+	n.pairs = append(n.pairs, p)
+	n.pairMu.Unlock()
 	return out.Payload, nil
 }
 
